@@ -25,13 +25,18 @@
 //!
 //! [`FwLanes`] is the derived (never persisted) SoA cost block: per group
 //! one contiguous run of Fermat–Weber weighted points plus an additive
-//! constant, precomputed from a query so the optimizer scan streams over
-//! flat `f64` lanes instead of chasing `ObjectRef`s through the object sets.
+//! constant and the group's prefilter bound, precomputed from a query so the
+//! optimizer scan streams over flat `f64` lanes instead of chasing
+//! `ObjectRef`s through the object sets, and skips hopeless groups without
+//! touching their points.
 
 use crate::movd::{Movd, Ovr};
 use crate::object::{MolqQuery, ObjectRef};
 use crate::region::Region;
-use molq_fw::WeightedPoint;
+use molq_fw::{
+    solve_group_bounded_with, BatchStats, CostBoundConfig, GroupOutcome, StoppingRule,
+    WeightedPoint,
+};
 use molq_geom::{convex_contains, ring_contains, ConvexPolygon, Mbr, Point, Polygon};
 
 /// Region kind tag: exact convex region ([`Region::Convex`]).
@@ -66,6 +71,9 @@ pub struct MovdArena {
     verts: Vec<Point>,
     group_off: Vec<u32>,
     pois: Vec<ObjectRef>,
+    /// [`MovdArena::footprint_bytes`], computed once when the arena is
+    /// assembled (a function of the buffers, so derived equality holds).
+    footprint: usize,
 }
 
 /// Byte sizes of the arena's buffers (reported by `/stats`).
@@ -118,7 +126,7 @@ impl MovdArena {
             a.push_region(&ovr.region);
             a.push_group(&ovr.pois);
         }
-        a
+        a.sealed()
     }
 
     fn with_capacity(bounds: Mbr, n: usize) -> Self {
@@ -130,6 +138,7 @@ impl MovdArena {
             verts: Vec::new(),
             group_off: Vec::with_capacity(n + 1),
             pois: Vec::new(),
+            footprint: 0,
         };
         a.poly_off.push(0);
         a.vert_off.push(0);
@@ -246,7 +255,15 @@ impl MovdArena {
             verts,
             group_off,
             pois,
-        })
+            footprint: 0,
+        }
+        .sealed())
+    }
+
+    /// The assembled arena with its footprint filled in.
+    fn sealed(mut self) -> Self {
+        self.footprint = self.count_footprint();
+        self
     }
 
     /// Reconstructs the pointer-based diagram, bit-identical to the one the
@@ -397,36 +414,33 @@ impl MovdArena {
 
     /// Deep payload bytes of the *pointer-based* diagram this arena
     /// represents — the paper's memory-accounting number
-    /// ([`crate::footprint::Footprint`]), computed from counts so answers
-    /// report the same `movd_bytes` they always did.
+    /// ([`crate::footprint::Footprint`]), so answers report the same
+    /// `movd_bytes` they always did. Computed once per arena.
+    #[inline]
     pub fn footprint_bytes(&self) -> usize {
-        let mut total = VEC_HEADER + 4 * std::mem::size_of::<f64>(); // ovrs header + bounds
-        for i in 0..self.len() {
-            let region = match self.kinds[i] {
-                KIND_RECT => 4 * std::mem::size_of::<f64>(),
-                KIND_CONVEX => {
-                    let nv = (self.vert_off[self.poly_off[i] as usize + 1]
-                        - self.vert_off[self.poly_off[i] as usize])
-                        as usize;
-                    nv * 2 * std::mem::size_of::<f64>() + VEC_HEADER
-                }
-                _ => {
-                    let polys = self.poly_off[i] as usize..self.poly_off[i + 1] as usize;
-                    polys
-                        .map(|p| {
-                            (self.vert_off[p + 1] - self.vert_off[p]) as usize
-                                * 2
-                                * std::mem::size_of::<f64>()
-                                + VEC_HEADER
-                        })
-                        .sum::<usize>()
-                        + VEC_HEADER
-                }
-            };
-            let group = (self.group_off[i + 1] - self.group_off[i]) as usize;
-            total += region + group * std::mem::size_of::<ObjectRef>() + VEC_HEADER;
+        self.footprint
+    }
+
+    /// [`MovdArena::footprint_bytes`] from the buffer lengths and the kind
+    /// counts. Per OVR the pointer layout holds a group `Vec` and a region:
+    /// a rect is four inline `f64`s (its two stored corners), a convex
+    /// polygon is one vertex `Vec`, and a general region is a `Vec` of
+    /// vertex `Vec`s. Summed, the vertices cost 16 bytes each, every polygon
+    /// but a rect's costs a `Vec` header, and every general region one more.
+    fn count_footprint(&self) -> usize {
+        let f64s = std::mem::size_of::<f64>();
+        let (mut rects, mut generals) = (0usize, 0usize);
+        for &kind in &self.kinds {
+            rects += usize::from(kind == KIND_RECT);
+            generals += usize::from(kind == KIND_GENERAL);
         }
-        total
+        let polys = self.vert_off.len() - 1;
+        VEC_HEADER
+            + 4 * f64s // ovrs header + bounds
+            + self.len() * VEC_HEADER
+            + self.pois.len() * std::mem::size_of::<ObjectRef>()
+            + self.verts.len() * 2 * f64s
+            + (polys - rects + generals) * VEC_HEADER
     }
 
     /// Builds a patched arena by copy-on-write: `Kept` entries bulk-copy
@@ -465,20 +479,29 @@ impl MovdArena {
                 }
             }
         }
-        (a, segments)
+        (a.sealed(), segments)
     }
 }
 
 /// The derived SoA cost block: per OVR group, a contiguous run of
-/// Fermat–Weber weighted points and the additive constant of the group's
-/// `WGD` under a fixed query (see [`MolqQuery::fw_terms`]). Query-dependent,
-/// cheap to build, never persisted — a server pins one per (snapshot,
-/// query) so every solve/topk scan streams flat lanes.
+/// Fermat–Weber weighted points, the additive constant of the group's
+/// `WGD` under a fixed query (see [`MolqQuery::fw_terms`]), and the group's
+/// prefilter bound. Query-dependent, cheap to build, never persisted — a
+/// server pins one per (snapshot, query) so every solve/topk scan streams
+/// flat lanes.
+///
+/// The bound lane holds [`molq_fw::prefilter_bound`] plus the constant, the
+/// exact value `solve_group_bounded` compares against the global bound, so a
+/// scan can skip a group from the lane alone. The lanes also record the
+/// group with the smallest bound: the Optimizer solves it first to seed its
+/// global bound.
 #[derive(Debug, Clone)]
 pub struct FwLanes {
     group_off: Vec<u32>,
     pts: Vec<WeightedPoint>,
     consts: Vec<f64>,
+    bounds: Vec<f64>,
+    seed: Option<usize>,
 }
 
 impl FwLanes {
@@ -487,12 +510,19 @@ impl FwLanes {
             group_off: vec![0],
             pts: Vec::new(),
             consts: Vec::new(),
+            bounds: Vec::new(),
+            seed: None,
         };
         for group in groups {
             let (pts, constant) = query.fw_terms(group);
+            let bound = molq_fw::prefilter_bound(&pts) + constant;
+            if lanes.seed.map_or(true, |s| bound < lanes.bounds[s]) {
+                lanes.seed = Some(lanes.bounds.len());
+            }
             lanes.pts.extend_from_slice(&pts);
             lanes.group_off.push(lanes.pts.len() as u32);
             lanes.consts.push(constant);
+            lanes.bounds.push(bound);
         }
         lanes
     }
@@ -528,6 +558,43 @@ impl FwLanes {
             &self.pts[self.group_off[i] as usize..self.group_off[i + 1] as usize],
             self.consts[i],
         )
+    }
+
+    /// Every group's prefilter bound, constant included: no location
+    /// serves group `i` for less than `bounds()[i]`.
+    #[inline]
+    pub fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+
+    /// The group with the smallest prefilter bound (the first on ties);
+    /// `None` when there are no groups.
+    #[inline]
+    pub fn seed(&self) -> Option<usize> {
+        self.seed
+    }
+
+    /// Group `i` under Algorithm 5 against the global bound `cbound`:
+    /// prefiltered from the bound lane before its points are loaded,
+    /// otherwise [`molq_fw::solve_group_bounded`] with the lane standing in
+    /// for its prefilter (same decisions, same bits).
+    pub fn solve_bounded(
+        &self,
+        i: usize,
+        rule: StoppingRule,
+        cbound: f64,
+        stats: &mut BatchStats,
+    ) -> GroupOutcome {
+        if self.bounds[i] > cbound {
+            stats.prefiltered_groups += 1;
+            return GroupOutcome::Prefiltered;
+        }
+        let (pts, constant) = self.group(i);
+        let lane_prefiltered = CostBoundConfig {
+            prefilter: false,
+            prune: true,
+        };
+        solve_group_bounded_with(pts, constant, rule, cbound, stats, lane_prefiltered)
     }
 }
 
@@ -641,6 +708,21 @@ mod tests {
         assert!(movd_bits_eq(&arena.to_movd(), &movd));
         // The empty rect survives with its exact ±inf bits.
         assert!(arena.ovr_mbr(1).is_empty());
+        // The footprint counted once from the buffers matches a walk of the
+        // pointer layout for every region kind, also after a raw restore.
+        assert_eq!(arena.footprint_bytes(), movd.footprint_bytes());
+        let restored = MovdArena::from_raw(
+            arena.bounds(),
+            arena.kinds().to_vec(),
+            arena.poly_off().to_vec(),
+            arena.vert_off().to_vec(),
+            arena.verts().to_vec(),
+            arena.group_off().to_vec(),
+            arena.pois().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(restored, arena);
+        assert_eq!(restored.footprint_bytes(), movd.footprint_bytes());
     }
 
     #[test]
@@ -703,6 +785,42 @@ mod tests {
             let (direct, c) = query.fw_terms(arena.group(i));
             assert_eq!(c.to_bits(), ca.to_bits());
             assert_eq!(direct.len(), pa.len());
+            // The bound lane is the prefilter bound plus the constant.
+            let want = molq_fw::prefilter_bound(&direct) + c;
+            assert_eq!(a.bounds()[i].to_bits(), want.to_bits());
+            assert_eq!(b.bounds()[i].to_bits(), want.to_bits());
+        }
+        // The seed is the first group with the smallest bound.
+        let seed = a.seed().unwrap();
+        assert_eq!(b.seed(), Some(seed));
+        assert!(a.bounds().iter().all(|&x| x >= a.bounds()[seed]));
+        assert!(a.bounds()[..seed].iter().all(|&x| x > a.bounds()[seed]));
+    }
+
+    #[test]
+    fn lane_solve_matches_the_group_solver() {
+        let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
+        let sets = vec![
+            pseudo_set("a", 8, 7),
+            pseudo_set("b", 9, 8),
+            pseudo_set("c", 7, 9),
+        ];
+        let query = MolqQuery::new(sets.clone(), bounds);
+        let movd = Movd::overlap_all(&sets, bounds, Boundary::Rrb).unwrap();
+        let lanes = FwLanes::from_movd(&query, &movd);
+        let rule = StoppingRule::Either(1e-6, 10_000);
+        let mut bounds_seen = lanes.bounds().to_vec();
+        bounds_seen.sort_by(f64::total_cmp);
+        let median = bounds_seen[bounds_seen.len() / 2];
+        for cbound in [f64::INFINITY, median, 1.5 * median, 0.0] {
+            for i in 0..lanes.len() {
+                let (pts, constant) = lanes.group(i);
+                let (mut a, mut b) = (BatchStats::default(), BatchStats::default());
+                let want = molq_fw::solve_group_bounded(pts, constant, rule, cbound, &mut a);
+                let got = lanes.solve_bounded(i, rule, cbound, &mut b);
+                assert_eq!(got, want, "group {i} at {cbound}");
+                assert_eq!(b, a, "group {i} at {cbound}");
+            }
         }
     }
 

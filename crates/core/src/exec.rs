@@ -47,8 +47,9 @@ pub const THREADS_ENV: &str = "MOLQ_THREADS";
 
 /// Below this many groups a parallel scan cannot recoup the scoped-pool
 /// spawn cost, so [`GroupScan::run`] stays sequential regardless of the
-/// configured thread count.
-const MIN_PARALLEL_GROUPS: usize = 192;
+/// configured thread count (and the Optimizer does the same when fewer
+/// groups than this can pass its seeded bound).
+pub(crate) const MIN_PARALLEL_GROUPS: usize = 192;
 
 /// Smallest chunk a worker claims: amortizes the shared-cursor fetch and the
 /// per-chunk cancellation checkpoint.
@@ -295,10 +296,7 @@ impl<'a> GroupScan<'a> {
         let mut stats = BatchStats::default();
         for (worker_items, worker_stats) in per_worker.drain(..) {
             items.extend(worker_items);
-            stats.exact_groups += worker_stats.exact_groups;
-            stats.prefiltered_groups += worker_stats.prefiltered_groups;
-            stats.pruned_groups += worker_stats.pruned_groups;
-            stats.iterations += worker_stats.iterations;
+            stats += worker_stats;
         }
         items.sort_unstable_by_key(|&(i, _)| i);
         Ok(ScanOutput { items, stats })

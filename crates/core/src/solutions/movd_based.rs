@@ -5,12 +5,12 @@
 use crate::arena::{FwLanes, MovdArena};
 use crate::cancel::CancelToken;
 use crate::error::MolqError;
-use crate::exec::{ExecConfig, GroupScan, SharedBound};
+use crate::exec::{ExecConfig, GroupScan, SharedBound, MIN_PARALLEL_GROUPS};
 use crate::footprint::Footprint;
 use crate::movd::Movd;
 use crate::object::MolqQuery;
 use crate::region::Boundary;
-use molq_fw::{solve_group_bounded, BatchStats, GroupOutcome};
+use molq_fw::{BatchStats, GroupOutcome};
 use molq_geom::Point;
 
 /// Answer of an MOVD-based solve, with the instrumentation the experiments
@@ -195,6 +195,13 @@ fn optimize(
 
 /// Shared Optimizer core over the SoA cost lanes.
 ///
+/// The scan is seeded: the group with the smallest prefilter bound
+/// ([`FwLanes::seed`]) is solved first, unbounded, and its cost starts the
+/// shared bound, so every worker prunes from its first group. The seed's
+/// candidate goes straight into the reduction and the scan skips it, so it
+/// is never judged against the bound it set. Each other group is checked
+/// against its bound lane before its points are loaded.
+///
 /// Determinism: a candidate is emitted whenever its cost is within the bound
 /// it was solved under (`<=`, so equal-cost candidates all survive), and the
 /// winner is the minimum by `(cost, group index)` — which is exactly the
@@ -204,14 +211,31 @@ fn optimize_lanes(
     lanes: &FwLanes,
     movd_bytes: usize,
     cancel: &CancelToken,
-    exec: ExecConfig,
+    mut exec: ExecConfig,
 ) -> Result<MovdAnswer, MolqError> {
-    let bound = SharedBound::new(f64::INFINITY);
+    let mut seed_stats = BatchStats::default();
+    let seed = lanes.seed().and_then(|s| {
+        match lanes.solve_bounded(s, query.rule, f64::INFINITY, &mut seed_stats) {
+            GroupOutcome::Solved(sol) => Some((sol.cost, s, sol.location)),
+            _ => None,
+        }
+    });
+    let seeded = seed.map_or(f64::INFINITY, |(cost, _, _)| cost);
+    let bound = SharedBound::new(seeded);
+    // When few groups can pass the seeded bound, the scan is too small to
+    // pay for the parallel pool.
+    if exec.threads > 1
+        && lanes.bounds().iter().filter(|&&b| b <= seeded).count() < MIN_PARALLEL_GROUPS
+    {
+        exec = ExecConfig::serial();
+    }
     let scan = GroupScan::new(lanes.len(), exec, cancel);
     let out = scan.run(|i, stats| {
-        let (pts, constant) = lanes.group(i);
+        if seed.is_some_and(|(_, s, _)| s == i) {
+            return None;
+        }
         let cbound = bound.get();
-        match solve_group_bounded(pts, constant, query.rule, cbound, stats) {
+        match lanes.solve_bounded(i, query.rule, cbound, stats) {
             GroupOutcome::Solved(sol) if sol.cost <= cbound => {
                 bound.propose(sol.cost);
                 Some((sol.cost, sol.location))
@@ -220,20 +244,22 @@ fn optimize_lanes(
         }
     })?;
 
-    let mut best: Option<(f64, Point)> = None;
-    for &(_, (cost, location)) in &out.items {
-        if best.map_or(true, |(c, _)| cost < c) {
-            best = Some((cost, location));
+    let mut best = seed;
+    for &(i, (cost, location)) in &out.items {
+        if best.map_or(true, |(c, j, _)| cost < c || (cost == c && i < j)) {
+            best = Some((cost, i, location));
         }
     }
-    let (cost, location) = best.ok_or(MolqError::NoCandidates)?;
+    let (cost, _, location) = best.ok_or(MolqError::NoCandidates)?;
+    let mut stats = out.stats;
+    stats += seed_stats;
     Ok(MovdAnswer {
         location,
         cost,
         ovr_count: lanes.len(),
         movd_bytes,
         certified_factor: 1.0,
-        stats: out.stats,
+        stats,
     })
 }
 

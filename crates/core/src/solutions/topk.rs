@@ -15,7 +15,7 @@ use crate::exec::{ExecConfig, GroupScan, SharedBound};
 use crate::movd::Movd;
 use crate::object::{MolqQuery, ObjectRef};
 use crate::region::Boundary;
-use molq_fw::{solve_group_bounded, BatchStats, GroupOutcome};
+use molq_fw::{BatchStats, GroupOutcome};
 use molq_geom::Point;
 use std::sync::Mutex;
 
@@ -158,9 +158,7 @@ fn topk_impl<S: GroupSource>(
     let out = scan.run(|i, stats| {
         // Prune against the current k-th best (∞ until the list fills).
         let kth = bound.get();
-        let (pts, constant) = lanes.group(i);
-        let GroupOutcome::Solved(sol) = solve_group_bounded(pts, constant, query.rule, kth, stats)
-        else {
+        let GroupOutcome::Solved(sol) = lanes.solve_bounded(i, query.rule, kth, stats) else {
             return None;
         };
         // The unconstrained Fermat–Weber optimum is only a valid candidate

@@ -20,6 +20,15 @@ pub struct BatchStats {
     pub iterations: usize,
 }
 
+impl std::ops::AddAssign for BatchStats {
+    fn add_assign(&mut self, other: BatchStats) {
+        self.exact_groups += other.exact_groups;
+        self.prefiltered_groups += other.prefiltered_groups;
+        self.pruned_groups += other.pruned_groups;
+        self.iterations += other.iterations;
+    }
+}
+
 /// Result of a batch solve: the best location over all groups plus counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSolution {
@@ -71,7 +80,7 @@ pub enum GroupOutcome {
     /// Solved to the stopping rule; the cost includes the group's additive
     /// constant.
     Solved(FwSolution),
-    /// Skipped before any iteration by the two-point prefilter.
+    /// Skipped before any work by the prefilter ([`prefilter_bound`]).
     Prefiltered,
     /// Iteration abandoned by the lower-bound prune (`Lbound ≥ Cbound`).
     Pruned,
@@ -81,7 +90,8 @@ pub enum GroupOutcome {
 /// ablation benches to isolate the contribution of each filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostBoundConfig {
-    /// Apply the exact two-point prefilter before iterating (lines 9–12).
+    /// Apply the exact pairwise prefilter ([`prefilter_bound`]) before any
+    /// other work on a group (lines 9–12).
     pub prefilter: bool,
     /// Apply the per-iteration lower-bound prune (line 16).
     pub prune: bool,
@@ -96,12 +106,40 @@ impl Default for CostBoundConfig {
     }
 }
 
+/// The prefilter's lower bound on a group's Fermat–Weber cost (lines 9–12
+/// of Algorithm 5), without the group's additive constant.
+///
+/// Every cost term `wᵢ·d(q, pᵢ)` is non-negative, so dropping terms leaves a
+/// lower bound, and the cost of any two points is at least their exact
+/// [`exact::two_point`] optimum. For one or two points the bound is the
+/// exact optimum; for three it is the largest of the three pairwise optima;
+/// from four points on it is the paper's pair of the first two points.
+pub fn prefilter_bound(g: &[WeightedPoint]) -> f64 {
+    match g {
+        [] | [_] => 0.0,
+        [a, b] => exact::two_point(*a, *b).cost,
+        [a, b, c] => exact::two_point(*a, *b)
+            .cost
+            .max(exact::two_point(*b, *c).cost)
+            .max(exact::two_point(*a, *c).cost),
+        [a, b, ..] => exact::two_point(*a, *b).cost,
+    }
+}
+
 /// Solves one Fermat–Weber group against a shared global bound `cbound`
 /// (lines 4–17 of Algorithm 5), updating `stats`.
 ///
 /// `constant` is an additive cost offset (non-negative), arising from
 /// additive object-weight functions; the prefilter, the prune, and the
 /// returned costs all include it.
+///
+/// The prefilter runs first, on every group size, so the small exact cases
+/// are bounded too: a group is skipped when `prefilter_bound + constant >
+/// cbound`. One- and two-point and collinear groups are then solved exactly.
+/// A three-point group takes the exact three-point solver, whose interior
+/// loop is abandoned once its Eq. 10 bound exceeds `cbound`; larger groups
+/// iterate with the Eq. 10 prune (`Lbound ≥ Cbound`). A group that is
+/// solved gets the same bits whatever `cbound` is.
 pub fn solve_group_bounded(
     g: &[WeightedPoint],
     constant: f64,
@@ -112,7 +150,9 @@ pub fn solve_group_bounded(
     solve_group_bounded_with(g, constant, rule, cbound, stats, CostBoundConfig::default())
 }
 
-/// [`solve_group_bounded`] with explicit filter configuration.
+/// [`solve_group_bounded`] with explicit filter configuration. With both
+/// filters off, every group is solved exactly as the unbounded solvers
+/// would (the "Original" of Fig 10).
 pub fn solve_group_bounded_with(
     g: &[WeightedPoint],
     constant: f64,
@@ -122,6 +162,10 @@ pub fn solve_group_bounded_with(
     config: CostBoundConfig,
 ) -> GroupOutcome {
     debug_assert!(constant >= 0.0);
+    if config.prefilter && prefilter_bound(g) + constant > cbound {
+        stats.prefiltered_groups += 1;
+        return GroupOutcome::Prefiltered;
+    }
     let offset = |mut s: FwSolution| {
         s.cost += constant;
         s
@@ -135,17 +179,18 @@ pub fn solve_group_bounded_with(
         return GroupOutcome::Solved(offset(exact::collinear(g)));
     }
     if g.len() == 3 {
-        stats.exact_groups += 1;
-        return GroupOutcome::Solved(offset(exact::three_point(&[g[0], g[1], g[2]])));
-    }
-    // Two-point prefilter: the pair optimum cost (plus the full constant)
-    // lower-bounds the group cost at any location.
-    if config.prefilter {
-        let pair = exact::two_point(g[0], g[1]);
-        if pair.cost + constant > cbound {
-            stats.prefiltered_groups += 1;
-            return GroupOutcome::Prefiltered;
-        }
+        let limit = if config.prune { cbound } else { f64::INFINITY };
+        return match exact::three_point_bounded(&[g[0], g[1], g[2]], constant, limit) {
+            Ok(sol) => {
+                stats.exact_groups += 1;
+                GroupOutcome::Solved(offset(sol))
+            }
+            Err(iterations) => {
+                stats.iterations += iterations;
+                stats.pruned_groups += 1;
+                GroupOutcome::Pruned
+            }
+        };
     }
     // Iterate with the lower-bound prune.
     let eps = rule.epsilon();
@@ -185,10 +230,10 @@ pub fn solve_group_bounded_with(
 /// Algorithm 5: the cost-bound approach.
 ///
 /// Maintains a global upper bound `Cbound` (the best cost found so far).
-/// Before iterating a group, the exact two-point optimum of its first two
-/// points prefilters hopeless groups; during iteration, the Eq. 10 lower
-/// bound abandons groups that provably cannot beat `Cbound`, even though the
-/// ε stopping rule has not fired yet.
+/// Before any work on a group, exact pairwise optima ([`prefilter_bound`])
+/// prefilter hopeless groups; during iteration, the Eq. 10 lower bound
+/// abandons groups that provably cannot beat `Cbound`, even though the ε
+/// stopping rule has not fired yet.
 pub fn solve_cost_bound(
     groups: &[Vec<WeightedPoint>],
     rule: StoppingRule,
@@ -293,17 +338,101 @@ mod tests {
 
     #[test]
     fn exact_small_groups_are_dispatched() {
-        let groups = vec![
+        // At an infinite bound nothing is skipped, and every small or
+        // collinear group is solved exactly, with the unbounded solvers'
+        // bits.
+        let groups = [
             vec![wp(0.0, 0.0, 1.0)],
             vec![wp(0.0, 0.0, 1.0), wp(1.0, 0.0, 2.0)],
             vec![wp(0.0, 0.0, 1.0), wp(1.0, 1.0, 1.0), wp(2.0, 2.0, 1.0)], // collinear
             vec![wp(0.0, 0.0, 5.0), wp(9.0, 0.0, 1.0), wp(0.0, 9.0, 1.0)], // 3-point vertex
+            vec![wp(0.0, 0.0, 1.0), wp(4.0, 0.0, 2.0), wp(1.0, 3.0, 1.5)], // 3-point interior
         ];
-        let sol = solve_cost_bound(&groups, StoppingRule::ErrorBound(1e-6)).unwrap();
-        assert_eq!(sol.stats.exact_groups, 4);
-        // The single point gives cost 0, unbeatable.
-        assert_eq!(sol.group, 0);
-        assert_eq!(sol.cost, 0.0);
+        let rule = StoppingRule::ErrorBound(1e-6);
+        for (gi, g) in groups.iter().enumerate() {
+            let mut stats = BatchStats::default();
+            let outcome = solve_group_bounded(g, 0.25, rule, f64::INFINITY, &mut stats);
+            let GroupOutcome::Solved(sol) = outcome else {
+                panic!("group {gi} skipped at an infinite bound: {outcome:?}");
+            };
+            let want = crate::weiszfeld::solve(g, rule);
+            assert!(sol.exact, "group {gi}");
+            assert_eq!(sol.location, want.location, "group {gi}");
+            assert_eq!(
+                sol.cost.to_bits(),
+                (want.cost + 0.25).to_bits(),
+                "group {gi}"
+            );
+            assert_eq!(
+                stats,
+                BatchStats {
+                    exact_groups: 1,
+                    ..BatchStats::default()
+                },
+                "group {gi}"
+            );
+        }
+    }
+
+    #[test]
+    fn three_point_group_is_prefiltered_by_its_pair_bound() {
+        // Pairwise optima 1·10, 1·10 and 1·√200: the bound is the largest,
+        // and the prefilter compares strictly.
+        let g = [wp(0.0, 0.0, 1.0), wp(10.0, 0.0, 1.0), wp(0.0, 10.0, 1.0)];
+        let bound = prefilter_bound(&g);
+        assert_eq!(bound, 200f64.sqrt());
+        let rule = StoppingRule::ErrorBound(1e-6);
+        let mut stats = BatchStats::default();
+        let outcome = solve_group_bounded(&g, 2.0, rule, bound + 1.5, &mut stats);
+        assert_eq!(outcome, GroupOutcome::Prefiltered);
+        assert_eq!(stats.prefiltered_groups, 1);
+        assert_eq!(stats.exact_groups + stats.pruned_groups, 0);
+        // At exactly the bound the group passes the prefilter (the
+        // interior loop may still prune it: its optimum is higher).
+        let mut stats = BatchStats::default();
+        let kept = solve_group_bounded(&g, 2.0, rule, bound + 2.0, &mut stats);
+        assert_ne!(kept, GroupOutcome::Prefiltered);
+        assert_eq!(stats.prefiltered_groups, 0);
+        // With the prefilter off the group reaches the solver.
+        let mut stats = BatchStats::default();
+        let cfg = CostBoundConfig {
+            prefilter: false,
+            prune: false,
+        };
+        let unfiltered = solve_group_bounded_with(&g, 2.0, rule, 0.0, &mut stats, cfg);
+        assert!(matches!(unfiltered, GroupOutcome::Solved(_)));
+    }
+
+    #[test]
+    fn three_point_interior_group_is_pruned_under_a_tight_bound() {
+        // An interior optimum (every angle below 120°, equal weights): the
+        // pair bound 3·√2 is well below the optimum, so a bound between the
+        // two passes the prefilter and is crossed by the Eq. 10 bound inside
+        // the Vardi–Zhang loop.
+        let g = [wp(0.0, 0.0, 1.0), wp(4.0, 0.0, 1.0), wp(1.0, 3.0, 1.0)];
+        let rule = StoppingRule::ErrorBound(1e-6);
+        let opt = crate::exact::three_point(&g);
+        assert!(opt.iterations > 0, "optimum must be interior");
+        let cbound = 0.5 * (prefilter_bound(&g) + opt.cost);
+        let mut stats = BatchStats::default();
+        let outcome = solve_group_bounded(&g, 0.0, rule, cbound, &mut stats);
+        assert_eq!(outcome, GroupOutcome::Pruned);
+        assert_eq!(stats.pruned_groups, 1);
+        assert_eq!(stats.prefiltered_groups + stats.exact_groups, 0);
+        assert!(stats.iterations >= 1 && stats.iterations <= opt.iterations);
+        // Prune off: the same bound solves the group to the unbounded bits.
+        let mut stats = BatchStats::default();
+        let cfg = CostBoundConfig {
+            prefilter: true,
+            prune: false,
+        };
+        let GroupOutcome::Solved(sol) =
+            solve_group_bounded_with(&g, 0.0, rule, cbound, &mut stats, cfg)
+        else {
+            panic!("prune disabled, group must be solved");
+        };
+        assert_eq!(sol.location, opt.location);
+        assert_eq!(sol.cost.to_bits(), opt.cost.to_bits());
     }
 
     #[test]

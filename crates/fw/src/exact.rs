@@ -108,25 +108,44 @@ fn vertex_is_optimal(pts: &[WeightedPoint; 3], i: usize) -> bool {
 /// Performs the exact vertex-optimality test (constant time, the case the
 /// paper cites from Jalal & Krarup); interior optima are found by driving the
 /// Vardi–Zhang iteration to machine precision, which matches the geometric
-/// construction to ~1e-12 of the cost.
+/// construction to ~1e-12 of the cost. Under Algorithm 5 the interior loop
+/// takes the global cost bound (`three_point_bounded`, used by
+/// [`crate::batch::solve_group_bounded`]) and stops once it is exceeded.
 pub fn three_point(pts: &[WeightedPoint; 3]) -> FwSolution {
+    three_point_bounded(pts, 0.0, f64::INFINITY).expect("an infinite bound never prunes")
+}
+
+/// [`three_point`] under a global cost bound: the interior Vardi–Zhang loop
+/// gives up with `Err(iterations)` once its Eq. 10 lower bound plus the
+/// group's additive `constant` exceeds `cbound` (see
+/// `weiszfeld::solve_from_bounded`). The loop evaluates that bound
+/// every iteration anyway, so the check is free, and a solve that is not
+/// abandoned returns exactly the bits of [`three_point`]. Vertex optima are
+/// exact and cost one test each, so they are returned whatever the bound.
+pub(crate) fn three_point_bounded(
+    pts: &[WeightedPoint; 3],
+    constant: f64,
+    cbound: f64,
+) -> Result<FwSolution, usize> {
     for i in 0..3 {
         if vertex_is_optimal(pts, i) {
-            return FwSolution {
+            return Ok(FwSolution {
                 location: pts[i].loc,
                 cost: cost(pts[i].loc, &pts[..]),
                 iterations: 0,
                 exact: true,
-            };
+            });
         }
     }
     // Interior optimum: iterate to machine precision.
-    let sol = crate::weiszfeld::solve_from(
+    let sol = crate::weiszfeld::solve_from_bounded(
         centroid(&pts[..]),
         &pts[..],
         crate::types::StoppingRule::Either(1e-14, 10_000),
-    );
-    FwSolution { exact: true, ..sol }
+        constant,
+        cbound,
+    )?;
+    Ok(FwSolution { exact: true, ..sol })
 }
 
 /// Weighted centroid — the iteration's default starting location.

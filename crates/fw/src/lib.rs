@@ -22,8 +22,8 @@ pub mod types;
 pub mod weiszfeld;
 
 pub use batch::{
-    solve_cost_bound, solve_cost_bound_with, solve_group_bounded, solve_group_bounded_with,
-    solve_sequential, BatchStats, CostBoundConfig, GroupOutcome,
+    prefilter_bound, solve_cost_bound, solve_cost_bound_with, solve_group_bounded,
+    solve_group_bounded_with, solve_sequential, BatchStats, CostBoundConfig, GroupOutcome,
 };
 pub use newton::solve_hybrid;
 pub use types::{cost, FwSolution, StoppingRule, WeightedPoint};

@@ -71,11 +71,20 @@ pub fn vardi_zhang_step(q: Point, pts: &[WeightedPoint]) -> Point {
 /// Points coincident with `l` contribute zero (their α is undefined); the
 /// bound remains valid because their true distance term is non-negative.
 pub fn lower_bound(l: Point, pts: &[WeightedPoint]) -> f64 {
+    // (coordinate, alpha-weight) per axis, on the stack for the group sizes
+    // the Optimizer sees (one point per query type) so the per-iteration
+    // bound never allocates; larger instances fall back to the heap.
+    let mut stack = [(0.0, 0.0); LOWER_BOUND_STACK];
+    let mut heap = Vec::new();
+    let axis: &mut [(f64, f64)] = if pts.len() <= LOWER_BOUND_STACK {
+        &mut stack[..pts.len()]
+    } else {
+        heap.resize(pts.len(), (0.0, 0.0));
+        &mut heap
+    };
     let mut bound = 0.0;
-    // (coordinate, alpha-weight) per axis.
-    let mut axis: Vec<(f64, f64)> = Vec::with_capacity(pts.len());
     for k in 0..2 {
-        axis.clear();
+        let mut len = 0;
         for p in pts {
             let d = l.dist(p.loc);
             if d == 0.0 {
@@ -88,13 +97,19 @@ pub fn lower_bound(l: Point, pts: &[WeightedPoint]) -> f64 {
             };
             let alpha = p.weight * (lc - pc).abs() / d;
             if alpha > 0.0 {
-                axis.push((pc, alpha));
+                axis[len] = (pc, alpha);
+                len += 1;
             }
         }
-        bound += weighted_median_min(&mut axis);
+        bound += weighted_median_min(&mut axis[..len]);
     }
     bound
 }
+
+/// Largest group [`lower_bound`] handles without a heap buffer. The slice
+/// sort is stable and, at this length, an in-place insertion sort, so the
+/// stack and heap paths order (and sum) the terms identically.
+const LOWER_BOUND_STACK: usize = 16;
 
 /// `min_x Σ αᵢ |x − cᵢ|`, solved at the weighted median.
 fn weighted_median_min(items: &mut [(f64, f64)]) -> f64 {
@@ -143,6 +158,22 @@ pub fn solve(pts: &[WeightedPoint], rule: StoppingRule) -> FwSolution {
 /// Iterates from an explicit starting location until the stopping rule (or
 /// the cost-bound prune in [`crate::batch`]) fires.
 pub fn solve_from(start: Point, pts: &[WeightedPoint], rule: StoppingRule) -> FwSolution {
+    solve_from_bounded(start, pts, rule, 0.0, f64::INFINITY)
+        .expect("an infinite bound never prunes")
+}
+
+/// [`solve_from`] under a global cost bound (line 16 of Algorithm 5): gives
+/// up with `Err(iterations)` as soon as the Eq. 10 lower bound plus the
+/// group's additive `constant` exceeds `cbound`. The bound is only checked
+/// where the ε rule evaluates Eq. 10 anyway, so it costs nothing, and a run
+/// that is not abandoned takes exactly the iterates of the unbounded run.
+pub(crate) fn solve_from_bounded(
+    start: Point,
+    pts: &[WeightedPoint],
+    rule: StoppingRule,
+    constant: f64,
+    cbound: f64,
+) -> Result<FwSolution, usize> {
     let eps = rule.epsilon();
     let max_iters = rule.max_iterations();
     let mut q = start;
@@ -155,6 +186,9 @@ pub fn solve_from(start: Point, pts: &[WeightedPoint], rule: StoppingRule) -> Fw
         if let Some(eps) = eps {
             let c = cost(q, pts);
             let lb = lower_bound(q, pts);
+            if lb + constant > cbound {
+                return Err(iterations);
+            }
             if lb > 0.0 && (c - lb) / lb <= eps {
                 break;
             }
@@ -167,12 +201,12 @@ pub fn solve_from(start: Point, pts: &[WeightedPoint], rule: StoppingRule) -> Fw
             break;
         }
     }
-    FwSolution {
+    Ok(FwSolution {
         location: q,
         cost: cost(q, pts),
         iterations,
         exact: false,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -319,6 +353,67 @@ mod tests {
         assert!(fine.iterations >= rough.iterations);
         // The guarantee: rough cost within 10% of optimal.
         assert!(rough.cost <= fine.cost * 1.1 + 1e-9);
+    }
+
+    #[test]
+    fn lower_bound_heap_path_matches_stack_path() {
+        // A group past the stack buffer must give the same bits as the same
+        // computation with an explicitly allocated, stably sorted buffer.
+        let reference = |l: Point, pts: &[WeightedPoint]| {
+            let mut bound = 0.0;
+            for k in 0..2 {
+                let mut axis: Vec<(f64, f64)> = Vec::new();
+                for p in pts {
+                    let d = l.dist(p.loc);
+                    if d == 0.0 {
+                        continue;
+                    }
+                    let (pc, lc) = if k == 0 {
+                        (p.loc.x, l.x)
+                    } else {
+                        (p.loc.y, l.y)
+                    };
+                    let alpha = p.weight * (lc - pc).abs() / d;
+                    if alpha > 0.0 {
+                        axis.push((pc, alpha));
+                    }
+                }
+                bound += weighted_median_min(&mut axis);
+            }
+            bound
+        };
+        for n in [1, 3, LOWER_BOUND_STACK, LOWER_BOUND_STACK + 1, 40] {
+            let pts = pseudo_instance(n, n as u64);
+            let l = Point::new(37.5, 61.25);
+            assert_eq!(
+                lower_bound(l, &pts).to_bits(),
+                reference(l, &pts).to_bits(),
+                "n = {n}"
+            );
+            // An iterate on a data point drops that point's term.
+            assert_eq!(
+                lower_bound(pts[0].loc, &pts).to_bits(),
+                reference(pts[0].loc, &pts).to_bits(),
+                "n = {n} at a data point"
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_iteration_prunes_or_matches_unbounded() {
+        let pts = pseudo_instance(6, 21);
+        let rule = StoppingRule::Either(1e-12, 10_000);
+        let start = exact::centroid(&pts);
+        let free = solve_from(start, &pts, rule);
+        // A bound above the optimum never prunes, and the bits are the
+        // unbounded ones.
+        let kept = solve_from_bounded(start, &pts, rule, 0.5, free.cost + 1.0).unwrap();
+        assert_eq!(kept.location, free.location);
+        assert_eq!(kept.cost.to_bits(), free.cost.to_bits());
+        assert_eq!(kept.iterations, free.iterations);
+        // A bound below the optimum is crossed by the Eq. 10 bound.
+        let iters = solve_from_bounded(start, &pts, rule, 0.0, 0.5 * free.cost).unwrap_err();
+        assert!(iters >= 1 && iters <= free.iterations);
     }
 
     #[test]
