@@ -38,6 +38,7 @@ use molq_fw::{
     WeightedPoint,
 };
 use molq_geom::{convex_contains, ring_contains, ConvexPolygon, Mbr, Point, Polygon};
+use std::ops::Range;
 
 /// Region kind tag: exact convex region ([`Region::Convex`]).
 pub const KIND_CONVEX: u8 = 0;
@@ -100,20 +101,56 @@ impl ArenaBufferBytes {
     }
 }
 
-/// One entry of an incremental patch: either an OVR carried over from the
-/// old arena (geometry copied bit-for-bit, group re-targeted through the
-/// site remap) or a freshly re-derived OVR.
-#[derive(Debug, Clone)]
-pub enum PatchEntry {
-    /// Keep old OVR `old_id`'s region; its group becomes `pois`.
-    Kept {
-        /// Id in the old arena whose geometry is copied.
-        old_id: u32,
-        /// The (remapped) group of the kept OVR.
-        pois: Vec<ObjectRef>,
-    },
-    /// A re-derived OVR, encoded from scratch.
-    New(Ovr),
+/// One step of a live patch, in new-id order (see [`patch_steps`]).
+enum PatchStep {
+    /// Copy the old OVRs with these consecutive ids.
+    Copy(Range<usize>),
+    /// Derive the OVR with this new id.
+    Derive(usize),
+}
+
+/// Walks a kept-from map (new id → the old id an OVR was copied from, or
+/// `None` when it was re-derived) in new-id order, merging OVRs kept from
+/// consecutive old ids into one copy.
+fn patch_steps(kept_from: &[Option<u32>]) -> impl Iterator<Item = PatchStep> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let from = *kept_from.get(i)?;
+        i += 1;
+        let Some(lo) = from else {
+            return Some(PatchStep::Derive(i - 1));
+        };
+        let mut hi = lo as usize + 1;
+        while kept_from.get(i) == Some(&Some(hi as u32)) {
+            hi += 1;
+            i += 1;
+        }
+        Some(PatchStep::Copy(lo as usize..hi))
+    })
+}
+
+/// How one live update renumbers the sites of the set it changes: a
+/// removal shifts every later site of `set` down by one; an insert appends
+/// its site and renumbers nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteRemap {
+    /// The updated set.
+    pub set: usize,
+    /// The removed site, or `None` for an insert.
+    pub removed: Option<usize>,
+}
+
+impl SiteRemap {
+    /// Old site `i` of the updated set → its new index (`None` for the
+    /// removed site).
+    #[inline]
+    pub fn site(&self, i: usize) -> Option<usize> {
+        match self.removed {
+            Some(d) if i == d => None,
+            Some(d) if i > d => Some(i - 1),
+            _ => Some(i),
+        }
+    }
 }
 
 impl MovdArena {
@@ -443,37 +480,44 @@ impl MovdArena {
             + (polys - rects + generals) * VEC_HEADER
     }
 
-    /// Builds a patched arena by copy-on-write: `Kept` entries bulk-copy
-    /// their geometry segments out of `old` (bit-identical to what a
-    /// from-scratch rebuild would encode, because kept regions are exactly
-    /// the regions whose bits did not move), `New` entries encode their
-    /// regions from scratch. Returns the arena and the number of contiguous
-    /// old-arena segments copied (adjacent kept OVRs coalesce into one
-    /// segment — the number a `memcpy`-style implementation would issue).
-    pub fn from_patch(old: &MovdArena, bounds: Mbr, entries: &[PatchEntry]) -> (Self, usize) {
-        let mut a = MovdArena::with_capacity(bounds, entries.len());
+    /// Builds a patched arena by copy-on-write. `kept_from[i]` is the old
+    /// id new OVR `i` is copied from, or `None` when it is the next OVR of
+    /// `derived`. Each run of OVRs kept from consecutive old ids is copied
+    /// out of `old` with one bulk copy per buffer (offsets rebased, groups
+    /// renumbered through `remap`); derived OVRs encode their regions from
+    /// scratch. Bit-identical to what a from-scratch rebuild would encode,
+    /// because kept regions are exactly the regions whose bits did not
+    /// move. Returns the arena and the number of old-arena segments copied
+    /// (one per run).
+    pub fn from_patch(
+        old: &MovdArena,
+        bounds: Mbr,
+        kept_from: &[Option<u32>],
+        derived: &[Ovr],
+        remap: SiteRemap,
+    ) -> (Self, usize) {
+        // Kept OVRs never need more than the old buffers hold, so one
+        // reservation per buffer covers the whole patch.
+        let mut a = MovdArena::with_capacity(bounds, kept_from.len());
+        a.verts.reserve(
+            old.verts.len()
+                + derived
+                    .iter()
+                    .map(|o| o.region.coord_count() / 2)
+                    .sum::<usize>(),
+        );
+        a.pois
+            .reserve(old.pois.len() + derived.iter().map(|o| o.pois.len()).sum::<usize>());
+        let mut derived = derived.iter();
         let mut segments = 0usize;
-        let mut prev_kept: Option<u32> = None;
-        for e in entries {
-            match e {
-                PatchEntry::Kept { old_id, pois } => {
-                    let i = *old_id as usize;
-                    if prev_kept != Some(old_id.wrapping_sub(1)) {
-                        segments += 1;
-                    }
-                    prev_kept = Some(*old_id);
-                    a.kinds.push(old.kinds[i]);
-                    for p in old.poly_off[i] as usize..old.poly_off[i + 1] as usize {
-                        let lo = old.vert_off[p] as usize;
-                        let hi = old.vert_off[p + 1] as usize;
-                        a.verts.extend_from_slice(&old.verts[lo..hi]);
-                        a.vert_off.push(a.verts.len() as u32);
-                    }
-                    a.poly_off.push(a.vert_off.len() as u32 - 1);
-                    a.push_group(pois);
+        for step in patch_steps(kept_from) {
+            match step {
+                PatchStep::Copy(run) => {
+                    a.copy_run(old, run, remap);
+                    segments += 1;
                 }
-                PatchEntry::New(ovr) => {
-                    prev_kept = None;
+                PatchStep::Derive(_) => {
+                    let ovr = derived.next().expect("one derived OVR per unkept id");
                     a.push_region(&ovr.region);
                     a.push_group(&ovr.pois);
                 }
@@ -481,6 +525,43 @@ impl MovdArena {
         }
         (a.sealed(), segments)
     }
+
+    /// Appends old OVRs `run` with one bulk copy per buffer, rebasing their
+    /// offsets onto this arena's and renumbering their groups through
+    /// `remap` (a kept group never holds the removed site).
+    fn copy_run(&mut self, old: &MovdArena, run: Range<usize>, remap: SiteRemap) {
+        let (p0, p1) = (old.poly_off[run.start], old.poly_off[run.end]);
+        let (v0, v1) = (old.vert_off[p0 as usize], old.vert_off[p1 as usize]);
+        let (g0, g1) = (old.group_off[run.start], old.group_off[run.end]);
+        let (polys, verts, pois) = (self.vert_off.len() - 1, self.verts.len(), self.pois.len());
+        self.kinds.extend_from_slice(&old.kinds[run.clone()]);
+        self.poly_off
+            .extend(rebased(&old.poly_off[run.start + 1..=run.end], p0, polys));
+        self.vert_off.extend(rebased(
+            &old.vert_off[p0 as usize + 1..=p1 as usize],
+            v0,
+            verts,
+        ));
+        self.verts
+            .extend_from_slice(&old.verts[v0 as usize..v1 as usize]);
+        self.group_off
+            .extend(rebased(&old.group_off[run.start + 1..=run.end], g0, pois));
+        self.pois
+            .extend_from_slice(&old.pois[g0 as usize..g1 as usize]);
+        if let Some(d) = remap.removed {
+            for p in &mut self.pois[pois..] {
+                if p.set == remap.set && p.index > d {
+                    p.index -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// CSR offsets `offs` moved from base `from` to base `to`.
+fn rebased(offs: &[u32], from: u32, to: usize) -> impl Iterator<Item = u32> + '_ {
+    let to = to as u32;
+    offs.iter().map(move |&o| o - from + to)
 }
 
 /// The derived SoA cost block: per OVR group, a contiguous run of
@@ -505,38 +586,98 @@ pub struct FwLanes {
 }
 
 impl FwLanes {
-    fn build<'a>(query: &MolqQuery, groups: impl Iterator<Item = &'a [ObjectRef]>) -> Self {
-        let mut lanes = FwLanes {
-            group_off: vec![0],
-            pts: Vec::new(),
-            consts: Vec::new(),
-            bounds: Vec::new(),
+    fn with_capacity(groups: usize, points: usize) -> Self {
+        let mut group_off = Vec::with_capacity(groups + 1);
+        group_off.push(0);
+        FwLanes {
+            group_off,
+            pts: Vec::with_capacity(points),
+            consts: Vec::with_capacity(groups),
+            bounds: Vec::with_capacity(groups),
             seed: None,
-        };
-        for group in groups {
-            let (pts, constant) = query.fw_terms(group);
-            let bound = molq_fw::prefilter_bound(&pts) + constant;
-            if lanes.seed.map_or(true, |s| bound < lanes.bounds[s]) {
-                lanes.seed = Some(lanes.bounds.len());
-            }
-            lanes.pts.extend_from_slice(&pts);
-            lanes.group_off.push(lanes.pts.len() as u32);
-            lanes.consts.push(constant);
-            lanes.bounds.push(bound);
         }
+    }
+
+    /// Lanes for `groups`, which hold `points` objects in all.
+    fn build<'a>(
+        query: &MolqQuery,
+        groups: impl ExactSizeIterator<Item = &'a [ObjectRef]>,
+        points: usize,
+    ) -> Self {
+        let mut lanes = FwLanes::with_capacity(groups.len(), points);
+        for group in groups {
+            lanes.push_group(query, group);
+        }
+        lanes.seed = seed_of(&lanes.bounds);
+        lanes
+    }
+
+    /// Derives and appends one group's lanes.
+    fn push_group(&mut self, query: &MolqQuery, group: &[ObjectRef]) {
+        let (pts, constant) = query.fw_terms(group);
+        self.bounds.push(molq_fw::prefilter_bound(&pts) + constant);
+        self.pts.extend_from_slice(&pts);
+        self.group_off.push(self.pts.len() as u32);
+        self.consts.push(constant);
+    }
+
+    /// Appends `old`'s groups `run` with one bulk copy per lane.
+    fn copy_run(&mut self, old: &FwLanes, run: Range<usize>) {
+        let (lo, hi) = (old.group_off[run.start], old.group_off[run.end]);
+        let base = self.pts.len();
+        self.group_off
+            .extend(rebased(&old.group_off[run.start + 1..=run.end], lo, base));
+        self.pts
+            .extend_from_slice(&old.pts[lo as usize..hi as usize]);
+        self.consts.extend_from_slice(&old.consts[run.clone()]);
+        self.bounds.extend_from_slice(&old.bounds[run]);
+    }
+
+    /// Lanes for `arena`, a live patch of the diagram `old` was derived
+    /// from: `kept_from[i]` is the old id OVR `i` was copied from, or
+    /// `None` when it was re-derived ([`crate::incr::LiveMovd::kept_from`]).
+    ///
+    /// A kept group holds the same objects as its old group, only
+    /// renumbered by the site remap, so [`MolqQuery::fw_terms`] would give
+    /// it the same bits: its points, constant and bound are copied from
+    /// `old`, a run of consecutive old ids at a time. Re-derived groups are
+    /// derived as in [`FwLanes::from_arena`], and the seed is picked by the
+    /// same rule, so the result equals `FwLanes::from_arena(query, arena)`
+    /// bit for bit — provided `old` was derived under the same weight
+    /// functions from the object sets before the update.
+    pub fn patched(
+        old: &FwLanes,
+        query: &MolqQuery,
+        arena: &MovdArena,
+        kept_from: &[Option<u32>],
+    ) -> Self {
+        assert_eq!(kept_from.len(), arena.len(), "one source per patched OVR");
+        let mut lanes = FwLanes::with_capacity(arena.len(), arena.pois().len());
+        for step in patch_steps(kept_from) {
+            match step {
+                PatchStep::Copy(run) => lanes.copy_run(old, run),
+                PatchStep::Derive(i) => lanes.push_group(query, arena.group(i)),
+            }
+        }
+        lanes.seed = seed_of(&lanes.bounds);
         lanes
     }
 
     /// Lanes for a pointer-based diagram.
     pub fn from_movd(query: &MolqQuery, movd: &Movd) -> Self {
-        FwLanes::build(query, movd.ovrs.iter().map(|o| o.pois.as_slice()))
+        let points = movd.ovrs.iter().map(|o| o.pois.len()).sum();
+        FwLanes::build(query, movd.ovrs.iter().map(|o| o.pois.as_slice()), points)
     }
 
     /// Lanes for an arena-backed diagram — identical values to
     /// [`FwLanes::from_movd`] on the reconstructed diagram (both funnel
     /// through [`MolqQuery::fw_terms`] per group).
     pub fn from_arena(query: &MolqQuery, arena: &MovdArena) -> Self {
-        FwLanes::build(query, (0..arena.len()).map(|i| arena.group(i)))
+        FwLanes::build(
+            query,
+            (0..arena.len()).map(|i| arena.group(i)),
+            arena.pois().len(),
+        )
     }
 
     /// Number of groups.
@@ -574,6 +715,24 @@ impl FwLanes {
         self.seed
     }
 
+    /// Bitwise equality of every lane and of the seed (`f64` equality
+    /// would conflate `-0.0` with `0.0`).
+    pub fn bits_eq(&self, other: &FwLanes) -> bool {
+        fn f64s_eq(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        self.seed == other.seed
+            && self.group_off == other.group_off
+            && f64s_eq(&self.consts, &other.consts)
+            && f64s_eq(&self.bounds, &other.bounds)
+            && self.pts.len() == other.pts.len()
+            && self
+                .pts
+                .iter()
+                .zip(&other.pts)
+                .all(|(p, q)| f64s_eq(&[p.loc.x, p.loc.y, p.weight], &[q.loc.x, q.loc.y, q.weight]))
+    }
+
     /// Group `i` under Algorithm 5 against the global bound `cbound`:
     /// prefiltered from the bound lane before its points are loaded,
     /// otherwise [`molq_fw::solve_group_bounded`] with the lane standing in
@@ -596,6 +755,18 @@ impl FwLanes {
         };
         solve_group_bounded_with(pts, constant, rule, cbound, stats, lane_prefiltered)
     }
+}
+
+/// The group with the smallest bound, the first of equal ones (only a
+/// strictly smaller bound replaces the running seed).
+fn seed_of(bounds: &[f64]) -> Option<usize> {
+    let mut seed: Option<usize> = None;
+    for (i, &bound) in bounds.iter().enumerate() {
+        if seed.map_or(true, |s| bound < bounds[s]) {
+            seed = Some(i);
+        }
+    }
+    seed
 }
 
 /// Read access to a diagram's groups and regions — the shape the solver
@@ -900,18 +1071,21 @@ mod tests {
         let movd = built(Boundary::Rrb);
         let old = MovdArena::from_movd(&movd);
         // Keep everything except OVR 2, insert one new OVR at the end.
-        let mut entries: Vec<PatchEntry> = (0..old.len())
+        let mut kept_from: Vec<Option<u32>> = (0..old.len())
             .filter(|&i| i != 2)
-            .map(|i| PatchEntry::Kept {
-                old_id: i as u32,
-                pois: old.group(i).to_vec(),
-            })
+            .map(|i| Some(i as u32))
             .collect();
-        entries.push(PatchEntry::New(Ovr {
+        kept_from.push(None);
+        let derived = [Ovr {
             region: Region::Rect(Mbr::new(1.0, 1.0, 2.0, 2.0)),
             pois: vec![ObjectRef { set: 0, index: 0 }],
-        }));
-        let (patched, segments) = MovdArena::from_patch(&old, old.bounds(), &entries);
+        }];
+        let insert = SiteRemap {
+            set: 0,
+            removed: None,
+        };
+        let (patched, segments) =
+            MovdArena::from_patch(&old, old.bounds(), &kept_from, &derived, insert);
         // One gap at old id 2 splits the kept run into two segments.
         assert_eq!(segments, 2);
         assert_eq!(patched.len(), old.len());
@@ -922,6 +1096,41 @@ mod tests {
             region: Region::Rect(Mbr::new(1.0, 1.0, 2.0, 2.0)),
             pois: vec![ObjectRef { set: 0, index: 0 }],
         });
+        assert!(movd_bits_eq(&patched.to_movd(), &want));
+        assert_eq!(patched, MovdArena::from_movd(&want));
+    }
+
+    #[test]
+    fn patch_renumbers_kept_groups_past_a_removed_site() {
+        let movd = built(Boundary::Mbrb);
+        let old = MovdArena::from_movd(&movd);
+        // Remove site 4 of set 1: drop every OVR through it, keep the rest
+        // in order, and renumber set 1's later sites on the copy.
+        let remap = SiteRemap {
+            set: 1,
+            removed: Some(4),
+        };
+        let through = |i: usize| old.group(i).iter().any(|p| p.set == 1 && p.index == 4);
+        let kept_from: Vec<Option<u32>> = (0..old.len())
+            .filter(|&i| !through(i))
+            .map(|i| Some(i as u32))
+            .collect();
+        let runs = (0..old.len())
+            .filter(|&i| !through(i) && (i == 0 || through(i - 1)))
+            .count();
+        let (patched, segments) = MovdArena::from_patch(&old, old.bounds(), &kept_from, &[], remap);
+        assert_eq!(segments, runs);
+        let mut want = movd.clone();
+        want.ovrs
+            .retain(|o| !o.pois.iter().any(|p| p.set == 1 && p.index == 4));
+        for o in &mut want.ovrs {
+            for p in &mut o.pois {
+                if p.set == 1 && p.index > 4 {
+                    p.index -= 1;
+                }
+            }
+        }
+        assert!(want.len() < movd.len());
         assert!(movd_bits_eq(&patched.to_movd(), &want));
         assert_eq!(patched, MovdArena::from_movd(&want));
     }

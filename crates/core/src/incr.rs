@@ -29,7 +29,7 @@
 //! rebuild of the same object sets** — same OVR order, same region bits,
 //! same grid arrays.
 
-use crate::arena::{MovdArena, PatchEntry};
+use crate::arena::{MovdArena, SiteRemap};
 use crate::error::MolqError;
 use crate::exec::ExecConfig;
 use crate::locate_grid::LocateGrid;
@@ -40,6 +40,7 @@ use crate::region::{Boundary, Region};
 use molq_geom::Mbr;
 use molq_voronoi::IncrementalVoronoi;
 use std::cmp::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One live update to an object set.
@@ -101,7 +102,11 @@ pub struct LiveMovd {
     /// `layers[k]` when the set has uniform object weights; `None` for
     /// weighted sets, whose layers rebuild from scratch on every update.
     ivds: Vec<Option<IncrementalVoronoi>>,
-    index: MovdIndex,
+    /// Shared with the snapshots a server publishes from this diagram, so
+    /// publishing does not copy it.
+    index: Arc<MovdIndex>,
+    /// See [`LiveMovd::kept_from`].
+    kept_from: Option<Vec<Option<u32>>>,
 }
 
 impl LiveMovd {
@@ -124,7 +129,7 @@ impl LiveMovd {
             ivds.push(ivd);
         }
         acc.canonicalize();
-        let index = MovdIndex::build(acc);
+        let index = Arc::new(MovdIndex::build(acc));
         Ok(LiveMovd {
             sets,
             bounds,
@@ -133,6 +138,7 @@ impl LiveMovd {
             layers,
             ivds,
             index,
+            kept_from: None,
         })
     }
 
@@ -155,13 +161,13 @@ impl LiveMovd {
             ivds.push(ivd);
         }
         let canonical = (1..index.len()).all(|i| index.group(i - 1) <= index.group(i));
-        let index = if canonical {
+        let index = Arc::new(if canonical {
             index
         } else {
             let mut movd = index.movd().clone();
             movd.canonicalize();
             MovdIndex::build(movd)
-        };
+        });
         Ok(LiveMovd {
             sets,
             bounds,
@@ -170,6 +176,7 @@ impl LiveMovd {
             layers,
             ivds,
             index,
+            kept_from: None,
         })
     }
 
@@ -201,6 +208,23 @@ impl LiveMovd {
     /// The point-location index over the canonical diagram.
     pub fn index(&self) -> &MovdIndex {
         &self.index
+    }
+
+    /// The point-location index as a shared handle, for publishing the
+    /// diagram without copying it.
+    pub fn shared_index(&self) -> Arc<MovdIndex> {
+        Arc::clone(&self.index)
+    }
+
+    /// Where each OVR of the current diagram came from in the diagram the
+    /// last [`LiveMovd::apply`] patched: `Some(old id)` for an OVR carried
+    /// over, `None` for a re-derived one. `None` as a whole when the current
+    /// diagram was not produced by `apply` ([`LiveMovd::build`],
+    /// [`LiveMovd::from_index`]), so there is no previous diagram to map
+    /// to. [`crate::arena::FwLanes::patched`] carries scan lanes across the
+    /// patch through this map.
+    pub fn kept_from(&self) -> Option<&[Option<u32>]> {
+        self.kept_from.as_deref()
     }
 
     /// The basic diagram of set `k` (one ⊕ operand).
@@ -246,15 +270,7 @@ impl LiveMovd {
         let old_cells = cell_regions(&self.layers[s]);
         let new_cells = cell_regions(&new_layer);
         let old_len = self.sets[s].objects.len();
-        // old site index -> new site index (None = the removed site).
-        let old_to_new_site = |i: usize| -> Option<usize> {
-            match removed {
-                None => Some(i),
-                Some(d) if i == d => None,
-                Some(d) if i > d => Some(i - 1),
-                Some(_) => Some(i),
-            }
-        };
+        let remap = SiteRemap { set: s, removed };
         let mut moved: Vec<bool> = vec![false; new_set.objects.len()];
         for (j, new_region) in new_cells.iter().enumerate() {
             // The new site an insert appends has no old counterpart.
@@ -284,13 +300,15 @@ impl LiveMovd {
         //    are a subsequence of the old canonical order and the site remap
         //    is strictly monotone, so merging the kept run with the sorted
         //    derived run — chain keys are unique — lands everything in
-        //    canonical order without a full sort. The old index stays in
-        //    place and is only *read*: kept geometry is bulk-copied out of
-        //    its arena by the patch below, never re-encoded.
+        //    canonical order without a full sort. The merge is recorded as
+        //    the kept-from map: per new id, the old id it keeps or `None`
+        //    for the next derived OVR. The old index stays in place and is
+        //    only *read*: kept geometry is bulk-copied out of its arena by
+        //    the patch below, never re-encoded.
         let old_arena = self.index.arena();
         let old_ovr_count = old_arena.len();
-        let mut entries: Vec<PatchEntry> = Vec::with_capacity(old_ovr_count + derived.len());
-        let mut derived = derived.into_iter().peekable();
+        let mut kept_from: Vec<Option<u32>> = Vec::with_capacity(old_ovr_count + derived.len());
+        let mut pending = derived.iter().peekable();
         let mut ovrs_kept = 0usize;
         for old_id in 0..old_ovr_count {
             let group = old_arena.group(old_id);
@@ -298,37 +316,36 @@ impl LiveMovd {
                 .iter()
                 .position(|p| p.set == s)
                 .expect("every OVR chain has one cell per set");
-            let Some(j) = old_to_new_site(group[slot].index) else {
+            let Some(j) = remap.site(group[slot].index) else {
                 continue; // chain through the removed site
             };
             if moved[j] {
                 continue; // chain through a moved cell: re-derived above
             }
-            let mut pois = group.to_vec();
-            pois[slot].index = j;
-            while derived.peek().is_some_and(|d| d.pois < pois) {
-                entries.push(PatchEntry::New(derived.next().unwrap()));
+            // The kept OVR's merge key is its group with the layer-s site
+            // renumbered to `j`, compared in place.
+            while pending
+                .next_if(|d| cmp_renumbered(&d.pois, group, slot, j) == Ordering::Less)
+                .is_some()
+            {
+                kept_from.push(None);
             }
-            entries.push(PatchEntry::Kept {
-                old_id: old_id as u32,
-                pois,
-            });
+            kept_from.push(Some(old_id as u32));
             ovrs_kept += 1;
         }
-        entries.extend(derived.map(PatchEntry::New));
+        kept_from.extend(pending.map(|_| None));
 
         // 5. Canonical ids, copy-on-write arena, in-place grid patch.
         let mut old_to_new_id: Vec<Option<u32>> = vec![None; old_ovr_count];
         let mut inserted = Vec::new();
-        for (new_id, entry) in entries.iter().enumerate() {
-            match entry {
-                PatchEntry::Kept { old_id, .. } => {
-                    old_to_new_id[*old_id as usize] = Some(new_id as u32)
-                }
-                PatchEntry::New(_) => inserted.push(new_id as u32),
+        for (new_id, from) in kept_from.iter().enumerate() {
+            match from {
+                Some(old_id) => old_to_new_id[*old_id as usize] = Some(new_id as u32),
+                None => inserted.push(new_id as u32),
             }
         }
-        let (arena, segments_copied) = MovdArena::from_patch(old_arena, self.bounds, &entries);
+        let (arena, segments_copied) =
+            MovdArena::from_patch(old_arena, self.bounds, &kept_from, &derived, remap);
         let (grid, grid_patched) =
             match self
                 .index
@@ -345,7 +362,8 @@ impl LiveMovd {
         self.sets[s] = new_set;
         self.layers[s] = new_layer;
         self.ivds[s] = new_ivd;
-        self.index = index;
+        self.index = Arc::new(index);
+        self.kept_from = Some(kept_from);
         Ok(PatchStats {
             cells_reclipped,
             ovrs_kept,
@@ -552,6 +570,23 @@ fn back_map(j: usize, removed: Option<usize>, old_len: usize) -> Option<usize> {
         // Insert appends at old_len; earlier sites keep their index.
         None => (j < old_len).then_some(j),
     }
+}
+
+/// Orders `key` against `group` with its entry `slot` renumbered to site
+/// `site`, lexicographically like `Vec<ObjectRef>`'s `Ord`, without building
+/// the renumbered group.
+fn cmp_renumbered(key: &[ObjectRef], group: &[ObjectRef], slot: usize, site: usize) -> Ordering {
+    let renumbered = group.iter().enumerate().map(|(k, p)| {
+        if k == slot {
+            ObjectRef {
+                set: p.set,
+                index: site,
+            }
+        } else {
+            *p
+        }
+    });
+    key.iter().copied().cmp(renumbered)
 }
 
 /// Closed-interval MBR overlap in both axes — the sweep's pairing predicate

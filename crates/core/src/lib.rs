@@ -52,7 +52,7 @@ pub mod weights;
 
 /// Convenient re-exports of the public API.
 pub mod prelude {
-    pub use crate::arena::{ArenaBufferBytes, FwLanes, GroupSource, MovdArena, PatchEntry};
+    pub use crate::arena::{ArenaBufferBytes, FwLanes, GroupSource, MovdArena, SiteRemap};
     pub use crate::build::{build_movd, BuildMeta, BuildMode, BuildPlan};
     pub use crate::cancel::CancelToken;
     pub use crate::error::MolqError;

@@ -113,12 +113,15 @@ pub struct Snapshot {
     pub generation: u64,
     /// The query the MOVD was built from (object sets, weights, bounds, ε).
     pub query: MolqQuery,
-    /// Point-location index over the built MOVD.
-    pub index: MovdIndex,
+    /// Point-location index over the built MOVD (shared with the live
+    /// state it was published from, if any).
+    pub index: Arc<MovdIndex>,
     /// Fermat–Weber scan lanes over the arena's groups, pinned per snapshot
     /// so every solve/top-k against this view reuses one weight table
     /// instead of rebuilding it per request. Materialized lazily on first
-    /// use (see [`Snapshot::lanes`]) so restores stay pure decode work.
+    /// use (see [`Snapshot::lanes`]) so restores stay pure decode work; a
+    /// live update or a compaction sets them at publication when the
+    /// previous generation's lanes were built (see [`LaneCarry`]).
     lanes: OnceLock<FwLanes>,
     /// Side length of one quantization cell (see [`Snapshot::quantize`]).
     pub quantum: f64,
@@ -158,7 +161,7 @@ impl Snapshot {
         Ok(Snapshot::assemble(
             spec,
             query,
-            MovdIndex::build(movd),
+            Arc::new(MovdIndex::build(movd)),
             generation,
             0,
             build_meta,
@@ -178,7 +181,7 @@ impl Snapshot {
         let query =
             MolqQuery::new(stored.sets, bounds).with_rule(StoppingRule::Either(spec.eps, 100_000));
         query.validate().map_err(|e| e.to_string())?;
-        let index = MovdIndex::from_arena(stored.movd, stored.grid)?;
+        let index = Arc::new(MovdIndex::from_arena(stored.movd, stored.grid)?);
         Ok(Snapshot::assemble(
             spec,
             query,
@@ -192,7 +195,7 @@ impl Snapshot {
     fn assemble(
         spec: DatasetSpec,
         query: MolqQuery,
-        index: MovdIndex,
+        index: Arc<MovdIndex>,
         generation: u64,
         update_epoch: u64,
         build_meta: BuildMeta,
@@ -364,6 +367,22 @@ struct LiveState {
     /// (some reload published in between) makes the state stale; it is
     /// rehydrated from the current snapshot before the next update.
     generation: u64,
+    /// `false` while the live diagram numbers its OVRs differently from
+    /// the snapshot of `generation`: rehydrating a diagram saved in sweep
+    /// order re-sorts it. That snapshot's lanes then cannot be carried over
+    /// by OVR id; the first publication re-aligns the two.
+    numbered_as_served: bool,
+}
+
+/// How a generation published from the live state gets its scan lanes from
+/// the generation it replaces, when those were built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneCarry {
+    /// The live diagram was just patched from the served one: patch the
+    /// lanes through [`LiveMovd::kept_from`] ([`FwLanes::patched`]).
+    Patched,
+    /// The live diagram is the served one (compaction): reuse the lanes.
+    Unchanged,
 }
 
 /// Counters for the live-update subsystem (`/stats` → `updates`).
@@ -1123,10 +1142,15 @@ impl Engine {
             self.inner.durability.note_durable_ok();
         }
 
-        let snapshot = self
-            .publish_patched(&current, state)
-            .map_err(UpdateError::Conflict)?;
-        state.generation = snapshot.generation;
+        // A refused publication leaves the live state ahead of the served
+        // snapshot; drop it so the next update rehydrates.
+        let snapshot = match self.publish_patched(&current, state, LaneCarry::Patched) {
+            Ok(snapshot) => snapshot,
+            Err(e) => {
+                *slot = None;
+                return Err(UpdateError::Conflict(e));
+            }
+        };
 
         let u = &self.inner.updates;
         u.applied.fetch_add(1, Ordering::Relaxed);
@@ -1213,8 +1237,7 @@ impl Engine {
             }
         }
         state.epoch = new_epoch;
-        let snapshot = self.publish_patched(&current, state)?;
-        state.generation = snapshot.generation;
+        self.publish_patched(&current, state, LaneCarry::Unchanged)?;
         self.inner
             .updates
             .compactions
@@ -1300,7 +1323,7 @@ impl Engine {
     /// compaction, corruption) is set aside and recreated empty — its
     /// updates are already baked into the served snapshot.
     fn hydrate(&self, snap: &Snapshot) -> Result<LiveState, String> {
-        let index = snap.index.clone();
+        let index = MovdIndex::clone(&snap.index);
         let live = LiveMovd::from_index(
             snap.query.sets.clone(),
             index,
@@ -1308,6 +1331,11 @@ impl Engine {
             self.exec_config(),
         )
         .map_err(|e| e.to_string())?;
+        // Lanes depend on the groups alone, so equal group buffers mean the
+        // served lanes index the live diagram's OVRs.
+        let (served, rehydrated) = (snap.index.arena(), live.index().arena());
+        let numbered_as_served =
+            served.group_off() == rehydrated.group_off() && served.pois() == rehydrated.pois();
         let journal = match snap.spec.snapshot_dir.as_ref() {
             None => None,
             Some(dir) => {
@@ -1338,32 +1366,52 @@ impl Engine {
             journal,
             epoch: snap.update_epoch,
             generation: snap.generation,
+            numbered_as_served,
         })
     }
 
-    /// Publishes the live state's diagram as the dataset's next generation.
-    /// Refuses (without publishing) when another publication slipped in
-    /// between — the caller's state is stale and self-heals on retry.
+    /// Publishes the live state's diagram as the dataset's next generation
+    /// and records it as the generation the state mirrors. When `current`'s
+    /// lanes were built, the new generation gets them carried over per
+    /// `carry` instead of deriving its own on first use. Refuses (without
+    /// publishing) when another publication slipped in between — the
+    /// caller's state is stale and self-heals on retry.
     fn publish_patched(
         &self,
         current: &Snapshot,
-        state: &LiveState,
+        state: &mut LiveState,
+        carry: LaneCarry,
     ) -> Result<Arc<Snapshot>, String> {
         let query = MolqQuery::new(state.live.sets().to_vec(), state.live.bounds())
             .with_rule(StoppingRule::Either(current.spec.eps, 100_000));
         query.validate().map_err(|e| e.to_string())?;
-        let snapshot = Arc::new(Snapshot::assemble(
+        let snapshot = Snapshot::assemble(
             current.spec.clone(),
             query,
-            state.live.index().clone(),
+            state.live.shared_index(),
             current.generation + 1,
             state.epoch,
             current.build_meta,
-        ));
+        );
+        let lanes = match (current.lanes.get(), carry) {
+            (Some(_), _) if !state.numbered_as_served => None,
+            (Some(old), LaneCarry::Unchanged) => Some(old.clone()),
+            (Some(old), LaneCarry::Patched) => state
+                .live
+                .kept_from()
+                .map(|kept| FwLanes::patched(old, &snapshot.query, snapshot.index.arena(), kept)),
+            (None, _) => None,
+        };
+        if let Some(lanes) = lanes {
+            let _ = snapshot.lanes.set(lanes);
+        }
+        let snapshot = Arc::new(snapshot);
         let mut map = self.inner.datasets.write().expect("engine lock poisoned");
         match map.get(&snapshot.spec.name) {
             Some(served) if served.generation == current.generation => {
                 map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
+                state.generation = snapshot.generation;
+                state.numbered_as_served = true;
                 Ok(snapshot)
             }
             _ => Err(format!(
@@ -1521,7 +1569,7 @@ impl Engine {
             Ok(Snapshot::assemble(
                 spec,
                 query,
-                live.index().clone(),
+                live.shared_index(),
                 generation,
                 epoch,
                 base_build,
@@ -1533,6 +1581,7 @@ impl Engine {
             journal: Some(journal),
             epoch,
             generation: snapshot.generation,
+            numbered_as_served: true,
         });
         Ok(snapshot)
     }
@@ -2326,5 +2375,160 @@ mod tests {
         assert_eq!(restarted.durability().journals_set_aside, 1);
         assert!(!jpath.exists(), "journal should have been set aside");
         assert_eq!(snap.object_count(), 38);
+    }
+
+    /// The lanes a fresh derivation gives for a snapshot's diagram.
+    fn fresh_lanes(snap: &Snapshot) -> FwLanes {
+        FwLanes::from_arena(&snap.query, snap.index.arena())
+    }
+
+    fn insert_at(set: usize, x: f64, y: f64) -> Update {
+        Update::Insert {
+            set,
+            object: SpatialObject {
+                loc: Point::new(x, y),
+                w_t: 1.0,
+                w_o: 1.0,
+            },
+        }
+    }
+
+    #[test]
+    fn live_updates_carry_built_lanes() {
+        let (dir, paths) = csv_fixture("lanes", &[("a", 12, 61), ("b", 10, 62), ("c", 9, 63)]);
+        let spec = DatasetSpec {
+            bounds: Some(Mbr::new(0.0, 0.0, 100.0, 100.0)),
+            snapshot_dir: Some(dir.clone()),
+            ..DatasetSpec::new("d", paths)
+        };
+        let engine = Engine::new();
+        engine.load(spec.clone()).unwrap();
+
+        // Lanes that were never built are not carried: the next generation
+        // derives its own on first use.
+        let out = engine
+            .apply_update("d", &insert_at(1, 30.5, 60.25))
+            .unwrap();
+        assert!(out.snapshot.lanes.get().is_none());
+
+        // Once built, every update publishes its generation with the lanes
+        // already set, equal to a fresh derivation bit for bit — removals
+        // renumber later sites, inserts only append.
+        out.snapshot.lanes();
+        let updates = [
+            insert_at(0, 70.5, 20.75),
+            Update::Remove { set: 0, index: 3 },
+            Update::Remove { set: 2, index: 0 },
+            insert_at(2, 12.0, 88.5),
+            Update::Remove { set: 1, index: 5 },
+        ];
+        for (i, update) in updates.iter().enumerate() {
+            let out = engine.apply_update("d", update).unwrap();
+            let lanes = out.snapshot.lanes.get().expect("lanes carried over");
+            assert!(lanes.bits_eq(&fresh_lanes(&out.snapshot)), "update {i}");
+        }
+
+        // Compaction republishes the same diagram with the same lanes.
+        let before = engine.get("d").unwrap();
+        engine.compact("d").unwrap();
+        let compacted = engine.get("d").unwrap();
+        assert_eq!(compacted.generation, before.generation + 1);
+        let lanes = compacted.lanes.get().expect("lanes carried over");
+        assert!(lanes.bits_eq(before.lanes.get().unwrap()));
+        assert!(lanes.bits_eq(&fresh_lanes(&compacted)));
+        let out = engine.apply_update("d", &insert_at(0, 55.5, 44.5)).unwrap();
+        assert!(out
+            .snapshot
+            .lanes
+            .get()
+            .unwrap()
+            .bits_eq(&fresh_lanes(&out.snapshot)));
+
+        // A restore (base + journal replay) is pure decode work: no lanes.
+        let restarted = Engine::new();
+        let restored = restarted.load(spec.clone()).unwrap();
+        assert_eq!(restarted.update_stats().replayed, 1);
+        assert!(restored.lanes.get().is_none());
+        drop(dir);
+    }
+
+    #[test]
+    fn lanes_start_empty_after_full_rebuilds_and_renumbering_hydrates() {
+        // Inferred bounds: an insert outside the space rebuilds from
+        // scratch, which leaves no patch map to carry the lanes through.
+        let engine = Engine::new();
+        let sets = vec![pseudo_set("a", 9, 71), pseudo_set("b", 8, 72)];
+        engine
+            .load_from_sets(DatasetSpec::new("d", Vec::new()), sets.clone())
+            .unwrap();
+        engine.get("d").unwrap().lanes();
+        let c = engine.get("d").unwrap().query.bounds.center();
+        let out = engine.apply_update("d", &insert_at(0, c.x, c.y)).unwrap();
+        assert!(!out.full_rebuild);
+        assert!(out
+            .snapshot
+            .lanes
+            .get()
+            .unwrap()
+            .bits_eq(&fresh_lanes(&out.snapshot)));
+        let out = engine
+            .apply_update("d", &insert_at(0, 500.0, 500.0))
+            .unwrap();
+        assert!(out.full_rebuild);
+        assert!(out.snapshot.lanes.get().is_none());
+
+        // A reload makes the live state stale, so the next update hydrates
+        // it from the reloaded snapshot; with that snapshot's lanes built,
+        // the patch carries them.
+        let reloaded = engine.reload("d").unwrap();
+        assert!(reloaded.lanes.get().is_none());
+        reloaded.lanes();
+        let out = engine
+            .apply_update("d", &insert_at(1, c.x + 1.5, c.y - 2.5))
+            .unwrap();
+        assert!(!out.full_rebuild);
+        assert!(out
+            .snapshot
+            .lanes
+            .get()
+            .unwrap()
+            .bits_eq(&fresh_lanes(&out.snapshot)));
+
+        // A served diagram in sweep order: hydrating re-sorts it, so its
+        // lanes cannot be carried by OVR id into the first patch (nor into
+        // a compaction); once published, the numbering agrees again.
+        let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
+        let mut acc = Movd::identity(bounds);
+        for (i, set) in sets.iter().enumerate() {
+            let basic = Movd::basic_with(set, i, bounds, ExecConfig::serial()).unwrap();
+            acc = acc.overlap_with(&basic, Boundary::Rrb, ExecConfig::serial());
+        }
+        let sweep = Engine::new();
+        let swept = sweep
+            .publish_with(spec("s"), |spec, generation| {
+                let query = MolqQuery::new(sets.clone(), bounds)
+                    .with_rule(StoppingRule::Either(spec.eps, 100_000));
+                Ok(Snapshot::assemble(
+                    spec,
+                    query,
+                    Arc::new(MovdIndex::build(acc)),
+                    generation,
+                    0,
+                    BuildMeta::exact(),
+                ))
+            })
+            .unwrap();
+        assert!((1..swept.index.len()).any(|i| swept.index.group(i - 1) > swept.index.group(i)));
+        swept.lanes();
+        let out = sweep.apply_update("s", &insert_at(1, 40.25, 35.5)).unwrap();
+        assert!(out.snapshot.lanes.get().is_none());
+        out.snapshot.lanes();
+        let out = sweep.apply_update("s", &insert_at(1, 60.25, 75.5)).unwrap();
+        assert!(out
+            .snapshot
+            .lanes
+            .get()
+            .unwrap()
+            .bits_eq(&fresh_lanes(&out.snapshot)));
     }
 }
